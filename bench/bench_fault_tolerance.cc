@@ -1,11 +1,12 @@
-// Fault-tolerance bench: what does one slow shard do to slice latency,
-// and how much does a per-request deadline claw back? Three paths, all
-// draining the same sharded resolver configuration through a session:
+// Fault-tolerance bench: what do slow refills do to slice latency, and
+// how much does a per-request deadline claw back? Three paths, all
+// draining the same resolver configuration through a session:
 //
-//   baseline             no injected fault — the healthy reference;
-//   slow_shard           every shard-0 refill stalls --stall-ms (via the
-//                        SPER_FAULT_INJECT harness, obs/fault_injection.h);
-//   slow_shard_deadline  same stall, but every request carries
+//   baseline              no injected fault — the healthy reference;
+//   slow_refill           every kStallEvery-th refill stalls --stall-ms
+//                         (via the SPER_FAULT_INJECT harness,
+//                         obs/fault_injection.h);
+//   slow_refill_deadline  same stall, but every request carries
 //                        --deadline-ms: slices come back cut short
 //                        (deadline_exceeded) instead of waiting the
 //                        straggler out, and each continues losslessly.
@@ -17,12 +18,13 @@
 // elsewhere the bench prints the baseline only and says why.
 //
 //   bench_fault_tolerance [--scale=S] [--dataset=NAME] [--method=M]
-//                         [--threads=T] [--shards=N] [--lookahead=L]
-//                         [--budget=N] [--batch=B] [--stall-ms=MS]
-//                         [--deadline-ms=MS] [--repeat=R] [--json=PATH]
+//                         [--threads=T] [--budget=N] [--batch=B]
+//                         [--stall-ms=MS] [--deadline-ms=MS] [--repeat=R]
+//                         [--json=PATH]
 //
 // --json emits one record per path (schema: bench/BENCH.md) with extras
-// slice_p50_ms / slice_p99_ms / requests / deadline_cuts / emitted;
+// slice_p50_ms / slice_p99_ms / requests / deadline_cuts / emitted /
+// stalls (injected stalls of the best repeat);
 // speedup is baseline/path wall time at the same configuration.
 
 #include <algorithm>
@@ -46,6 +48,10 @@ namespace {
 
 using namespace sper;
 using sper::bench::DrainResult;
+
+/// Only every kStallEvery-th refill stalls: a stall on every refill would
+/// stretch the run by the refill count times --stall-ms.
+constexpr std::uint64_t kStallEvery = 20;
 
 double Millis(const obs::Stopwatch& watch) {
   return watch.ElapsedSeconds() * 1000.0;
@@ -117,8 +123,6 @@ int main(int argc, char** argv) {
   std::uint64_t stall_ms = 30;
   std::uint64_t deadline_ms = 20;
   ResolverOptions options;
-  options.num_shards = 4;
-  options.lookahead = 2;
   options.budget = 20000;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
@@ -129,10 +133,6 @@ int main(int argc, char** argv) {
       method_name = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       options.num_threads = std::strtoul(argv[i] + 10, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      options.num_shards = std::strtoul(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      options.lookahead = std::strtoul(argv[i] + 12, nullptr, 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
       options.budget = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
@@ -148,9 +148,8 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
-          "[--threads=T] [--shards=N] [--lookahead=L] [--budget=N] "
-          "[--batch=B] [--stall-ms=MS] [--deadline-ms=MS] [--repeat=R] "
-          "[--json=PATH]\n",
+          "[--threads=T] [--budget=N] [--batch=B] [--stall-ms=MS] "
+          "[--deadline-ms=MS] [--repeat=R] [--json=PATH]\n",
           argv[0]);
       return 2;
     }
@@ -171,14 +170,15 @@ int main(int argc, char** argv) {
   }
   const ProfileStore& store = dataset.value().store;
   std::printf(
-      "dataset %s: %zu profiles (scale %.2f), method %s, shards %zu, "
-      "lookahead %zu, budget %llu, batch %llu, stall %llu ms, deadline "
-      "%llu ms, fault injection %s\n",
+      "dataset %s: %zu profiles (scale %.2f), method %s, threads %zu, "
+      "budget %llu, batch %llu, stall %llu ms on every %llu-th refill, "
+      "deadline %llu ms, fault injection %s\n",
       dataset.value().name.c_str(), store.size(), scale,
-      std::string(ToString(*method)).c_str(), options.num_shards,
-      options.lookahead, static_cast<unsigned long long>(options.budget),
+      std::string(ToString(*method)).c_str(), options.num_threads,
+      static_cast<unsigned long long>(options.budget),
       static_cast<unsigned long long>(batch),
       static_cast<unsigned long long>(stall_ms),
+      static_cast<unsigned long long>(kStallEvery),
       static_cast<unsigned long long>(deadline_ms),
       obs::kFaultInjectionEnabled ? "compiled in" : "compiled out");
 
@@ -189,8 +189,8 @@ int main(int argc, char** argv) {
   };
   std::vector<PathSpec> paths = {{"baseline", false, 0}};
   if (obs::kFaultInjectionEnabled) {
-    paths.push_back({"slow_shard", true, 0});
-    paths.push_back({"slow_shard_deadline", true, deadline_ms});
+    paths.push_back({"slow_refill", true, 0});
+    paths.push_back({"slow_refill_deadline", true, deadline_ms});
   } else {
     std::printf(
         "(fault paths need -DSPER_FAULT_INJECT=ON; reporting the "
@@ -203,17 +203,22 @@ int main(int argc, char** argv) {
   SessionRun baseline;
   bool ok = true;
   for (const PathSpec& path : paths) {
-    if (path.stall) {
-      obs::FaultPlan plan;
-      plan.action = obs::FaultPlan::Action::kStall;
-      plan.stall_ms = stall_ms;
-      obs::FaultRegistry::Global().Arm("refill.shard0", plan);
-    }
     SessionRun best;
+    std::uint64_t stalls = 0;
     for (int r = 0; r < repeat; ++r) {
+      if (path.stall) {
+        // Re-armed per repeat: arming resets the hit counter, so every
+        // repeat stalls the same refills.
+        obs::FaultPlan plan;
+        plan.action = obs::FaultPlan::Action::kStall;
+        plan.stall_ms = stall_ms;
+        plan.every = kStallEvery;
+        obs::FaultRegistry::Global().Arm("refill", plan);
+      }
       SessionRun run = RunSession(store, options, batch, path.deadline_ms);
       if (r == 0 || run.drain.wall_ms < best.drain.wall_ms) {
         best = std::move(run);
+        stalls = obs::FaultRegistry::Global().fires("refill");
       }
     }
     if (path.stall) obs::FaultRegistry::Global().Reset();
@@ -231,12 +236,10 @@ int main(int argc, char** argv) {
                   std::to_string(best.drain.emitted),
                   FormatDouble(best.drain.wall_ms, 1), FormatDouble(p50, 2),
                   FormatDouble(p99, 2), match ? "match" : "MISMATCH"});
-    sper::bench::JsonRecord record{
-        dataset.value().name,  scale,
-        options.num_threads,   path.name,
-        best.drain.wall_ms,    speedup,
-        options.num_shards,    options.lookahead,
-        static_cast<std::size_t>(batch)};
+    sper::bench::JsonRecord record{dataset.value().name, scale,
+                                   options.num_threads, path.name,
+                                   best.drain.wall_ms, speedup,
+                                   static_cast<std::size_t>(batch)};
     record.extras.emplace_back("slice_p50_ms", p50);
     record.extras.emplace_back("slice_p99_ms", p99);
     record.extras.emplace_back("requests",
@@ -245,6 +248,7 @@ int main(int argc, char** argv) {
                                static_cast<double>(best.deadline_cuts));
     record.extras.emplace_back("emitted",
                                static_cast<double>(best.drain.emitted));
+    record.extras.emplace_back("stalls", static_cast<double>(stalls));
     records.push_back(std::move(record));
   }
   table.Print();

@@ -1,21 +1,19 @@
 // Parallel-scaling bench: wall-clock of the three parallelized
 // initialization hot paths (sharded token-index build, per-profile block
-// filtering, PPS meta-blocking edge weighting) plus the sharded-serving
-// initialization (ShardedEngine: hash partition + one engine per shard,
-// constructed concurrently) at 1/2/4/8 threads on the synthetic
+// filtering, PPS meta-blocking edge weighting) and of the whole PPS
+// resolver initialization at 1/2/4/8 threads on the synthetic
 // DBpedia-style dataset, reporting speedup over the 1-thread run. The
 // outputs themselves are thread-count invariant (asserted here as a
 // sanity check via ||B|| and the first emission); only the wall-clock may
 // change.
 //
 //   bench_parallel_scaling [--scale=S] [--dataset=NAME] [--repeat=R]
-//                          [--shards=N] [--json=PATH]
+//                          [--json=PATH]
 //
-// --json emits machine-readable {dataset, scale, threads, shards, path,
-// wall_ms, speedup} records (schema: bench/BENCH.md); speedup is relative
-// to the same path's 1-thread run. The sharded_init path carries
-// shards=N (--shards, default 4); all other paths carry shards=1.
-// Speedups depend on the hardware's core count; see bench/BENCH.md.
+// --json emits machine-readable {dataset, scale, threads, path, wall_ms,
+// speedup} records (schema: bench/BENCH.md); speedup is relative to the
+// same path's 1-thread run. Speedups depend on the hardware's core
+// count; see bench/BENCH.md.
 
 #include <algorithm>
 #include <chrono>
@@ -45,11 +43,10 @@ struct Timing {
   double token_blocking = 0.0;
   double workflow = 0.0;
   double engine_init = 0.0;
-  double sharded_init = 0.0;
 };
 
 Timing Measure(const DatasetBundle& dataset, std::size_t num_threads,
-               std::size_t num_shards, int repeat) {
+               int repeat) {
   Timing best;
   for (int r = 0; r < repeat; ++r) {
     Timing run;
@@ -69,21 +66,14 @@ Timing Measure(const DatasetBundle& dataset, std::size_t num_threads,
           BuildTokenWorkflowBlocks(dataset.store, options);
       run.workflow = Seconds(start);
     }
-    const auto resolver_init = [&](std::size_t shards) {
+    {
       ResolverOptions options;
       options.method = MethodId::kPps;
       options.num_threads = num_threads;
-      options.num_shards = shards;
-      Result<std::unique_ptr<Resolver>> resolver =
-          Resolver::Create(dataset.store, options);
-      if (!resolver.ok()) {
-        std::fprintf(stderr, "%s\n", resolver.status().ToString().c_str());
-        std::exit(1);
-      }
-      return resolver.value()->init_stats().init_seconds;
-    };
-    run.engine_init = resolver_init(1);
-    run.sharded_init = resolver_init(num_shards);
+      run.engine_init = bench::CreateResolverOrDie(dataset.store, options)
+                            ->init_stats()
+                            .init_seconds;
+    }
     if (r == 0) {
       best = run;
     } else {
@@ -92,7 +82,6 @@ Timing Measure(const DatasetBundle& dataset, std::size_t num_threads,
       best.token_blocking = std::min(best.token_blocking, run.token_blocking);
       best.workflow = std::min(best.workflow, run.workflow);
       best.engine_init = std::min(best.engine_init, run.engine_init);
-      best.sharded_init = std::min(best.sharded_init, run.sharded_init);
     }
   }
   return best;
@@ -103,7 +92,6 @@ Timing Measure(const DatasetBundle& dataset, std::size_t num_threads,
 int main(int argc, char** argv) {
   double scale = 1.0;
   int repeat = 2;
-  std::size_t num_shards = 4;
   std::string dataset_name = "dbpedia";
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
@@ -113,15 +101,12 @@ int main(int argc, char** argv) {
       dataset_name = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
       repeat = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      const int shards = std::atoi(argv[i] + 9);
-      num_shards = shards >= 1 ? static_cast<std::size_t>(shards) : 1;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--repeat=R] "
-          "[--shards=N] [--json=PATH]\n",
+          "[--json=PATH]\n",
           argv[0]);
       return 2;
     }
@@ -137,25 +122,16 @@ int main(int argc, char** argv) {
   std::printf("dataset %s: %zu profiles (scale %.2f), hardware threads %u\n",
               dataset.value().name.c_str(), dataset.value().store.size(),
               scale, std::thread::hardware_concurrency());
-  if (num_shards == 1) {
-    // Resolver::Create picks the plain engine for one shard, so there is
-    // no sharding machinery (partition + merge setup) left to measure.
-    std::printf("NOTE: --shards=1 serves through the plain engine; the "
-                "sharded_init column equals PPS init.\n");
-  }
 
   const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
   std::vector<Timing> timings;
   for (std::size_t num_threads : thread_counts) {
-    timings.push_back(
-        Measure(dataset.value(), num_threads, num_shards, repeat));
+    timings.push_back(Measure(dataset.value(), num_threads, repeat));
     std::printf("  measured %zu thread(s)\n", num_threads);
   }
 
   TextTable table({"threads", "token blocking", "full workflow",
-                   "PPS init (incl. workflow)",
-                   "sharded init (S=" + std::to_string(num_shards) + ")",
-                   "init speedup"});
+                   "PPS init (incl. workflow)", "init speedup"});
   for (std::size_t t = 0; t < thread_counts.size(); ++t) {
     const double speedup =
         timings[t].engine_init > 0
@@ -165,7 +141,6 @@ int main(int argc, char** argv) {
                   FormatDouble(timings[t].token_blocking, 3) + "s",
                   FormatDouble(timings[t].workflow, 3) + "s",
                   FormatDouble(timings[t].engine_init, 3) + "s",
-                  FormatDouble(timings[t].sharded_init, 3) + "s",
                   FormatDouble(speedup, 2) + "x"});
   }
   table.Print();
@@ -177,18 +152,15 @@ int main(int argc, char** argv) {
     std::vector<bench::JsonRecord> records;
     const std::string& name = dataset.value().name;
     for (std::size_t t = 0; t < thread_counts.size(); ++t) {
-      auto add = [&](const char* path, double seconds, double base,
-                     std::size_t shards) {
+      auto add = [&](const char* path, double seconds, double base) {
         records.push_back({name, scale, thread_counts[t], path,
                            seconds * 1000.0,
-                           seconds > 0 ? base / seconds : 0.0, shards});
+                           seconds > 0 ? base / seconds : 0.0});
       };
       add("token_blocking", timings[t].token_blocking,
-          timings[0].token_blocking, 1);
-      add("workflow", timings[t].workflow, timings[0].workflow, 1);
-      add("pps_init", timings[t].engine_init, timings[0].engine_init, 1);
-      add("sharded_init", timings[t].sharded_init, timings[0].sharded_init,
-          num_shards);
+          timings[0].token_blocking);
+      add("workflow", timings[t].workflow, timings[0].workflow);
+      add("pps_init", timings[t].engine_init, timings[0].engine_init);
     }
     if (!bench::WriteJsonRecords(json_path, records)) return 1;
   }

@@ -16,12 +16,11 @@
 // expected to be within noise of the raw drain.
 //
 //   bench_resolver_session [--scale=S] [--dataset=NAME] [--method=M]
-//                          [--repeat=R] [--threads=T] [--shards=N]
-//                          [--lookahead=L] [--budget=N]
+//                          [--repeat=R] [--threads=T] [--budget=N]
 //                          [--batch=B1,B2,...] [--json=PATH]
 //
-// --json emits {dataset, scale, threads, shards, lookahead, batch_size,
-// path, wall_ms, speedup} records (schema: bench/BENCH.md); speedup is
+// --json emits {dataset, scale, threads, batch_size, path, wall_ms,
+// speedup} records (schema: bench/BENCH.md); speedup is
 // unbatched/batched at the same configuration, batch_size is 0 for the
 // un-batched baseline rows. Each session_batched record additionally
 // carries per-request latency observations (queue_wait_p50_us /
@@ -106,10 +105,6 @@ int main(int argc, char** argv) {
       repeat = std::atoi(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       options.num_threads = std::strtoul(argv[i] + 10, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      options.num_shards = std::strtoul(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      options.lookahead = std::strtoul(argv[i] + 12, nullptr, 10);
     } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
       options.budget = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
@@ -119,8 +114,8 @@ int main(int argc, char** argv) {
     } else {
       std::printf(
           "usage: %s [--scale=S] [--dataset=NAME] [--method=M] "
-          "[--repeat=R] [--threads=T] [--shards=N] [--lookahead=L] "
-          "[--budget=N] [--batch=B1,B2,...] [--json=PATH]\n",
+          "[--repeat=R] [--threads=T] [--budget=N] [--batch=B1,B2,...] "
+          "[--json=PATH]\n",
           argv[0]);
       return 2;
     }
@@ -141,12 +136,10 @@ int main(int argc, char** argv) {
   }
   const ProfileStore& store = dataset.value().store;
   std::printf("dataset %s: %zu profiles (scale %.2f, %s), method %s, "
-              "threads %zu, shards %zu, lookahead %zu, budget %llu, "
-              "hardware threads %u\n",
+              "threads %zu, budget %llu, hardware threads %u\n",
               dataset.value().name.c_str(), store.size(), scale,
               ToString(store.er_type()),
               std::string(ToString(*method)).c_str(), options.num_threads,
-              options.num_shards, options.lookahead,
               static_cast<unsigned long long>(options.budget),
               std::thread::hardware_concurrency());
 
@@ -158,8 +151,7 @@ int main(int argc, char** argv) {
 
   std::vector<sper::bench::JsonRecord> records;
   records.push_back({dataset.value().name, scale, options.num_threads,
-                     "drain_unbatched", unbatched.wall_ms, 1.0,
-                     options.num_shards, options.lookahead, 0});
+                     "drain_unbatched", unbatched.wall_ms, 1.0, 0});
   TextTable table({"batch", "requests", "emitted", "drain (ms)", "speedup",
                    "digest"});
   table.AddRow({"unbatched", "-", std::to_string(unbatched.emitted),
@@ -184,9 +176,7 @@ int main(int argc, char** argv) {
                   match ? "match" : "MISMATCH"});
     sper::bench::JsonRecord record{dataset.value().name, scale,
                                    options.num_threads, "session_batched",
-                                   batched.wall_ms, speedup,
-                                   options.num_shards, options.lookahead,
-                                   batch};
+                                   batched.wall_ms, speedup, batch};
 
     // One separate instrumented run per batch size: the timed runs above
     // stay telemetry-free, this one collects the per-request latency

@@ -25,9 +25,10 @@ enum class MethodId {
 /// Method acronym as printed in the paper.
 std::string_view ToString(MethodId id);
 
-/// True for the Comparison-List methods (PBS, PPS), whose emitters expose
-/// the refill-batch boundary (BatchSource) the emission pipeline needs.
-/// ResolverOptions::lookahead has no effect on the other methods.
+/// True for the Comparison-List methods (PBS, PPS): they run the Token
+/// Blocking Workflow, and their emitters expose the refill-batch boundary
+/// (BatchSource) at which the engine checks cancellation and contains
+/// failures.
 bool MethodHasBatchRefills(MethodId id);
 
 /// Inverse of ToString ("PPS", "SA-PSN", ...); nullopt for unknown names.

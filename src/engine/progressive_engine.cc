@@ -1,15 +1,22 @@
 #include "engine/progressive_engine.h"
 
+#include <algorithm>
 #include <cctype>
-#include <exception>
 #include <string>
 #include <utility>
 
 #include "core/macros.h"
+#include "engine/resolver.h"
 #include "obs/fault_injection.h"
+#include "obs/telemetry.h"
+#include "progressive/gs_psn.h"
 #include "progressive/ls_psn.h"
+#include "progressive/pbs.h"
+#include "progressive/pps.h"
 #include "progressive/psn.h"
+#include "progressive/sa_psab.h"
 #include "progressive/sa_psn.h"
+#include "progressive/workflow.h"
 
 namespace sper {
 
@@ -60,13 +67,11 @@ std::optional<MethodId> ParseMethodId(std::string_view name) {
 }
 
 ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
-                                     EngineConfig options,
-                                     ThreadPool* emission_pool)
-    : options_(std::move(options)) {
+                                     const ResolverOptions& options)
+    : budget_(options.budget) {
   const obs::Stopwatch init_watch;
-  if (options_.num_threads == 0) options_.num_threads = 1;
-  budget_ = options_.budget;
-  const obs::TelemetryScope& scope = options_.telemetry;
+  const std::size_t num_threads = std::max<std::size_t>(options.num_threads, 1);
+  const obs::TelemetryScope& scope = options.telemetry;
 
   // The blocking workflow of the equality-based methods, timed per step.
   // Its phases land in stats_.phases before "method_build" (the emitter
@@ -74,19 +79,17 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   // ("block_scheduling", "edge_weighting", "profile_scheduling") are
   // recorded registry-side by the callees themselves.
   const auto run_workflow = [&](const ProfileStore& s) {
-    TokenWorkflowOptions workflow = options_.workflow;
-    workflow.num_threads = options_.num_threads;
+    TokenWorkflowOptions workflow = options.workflow;
+    workflow.num_threads = num_threads;
     workflow.telemetry = scope;
     TokenWorkflowTiming timing;
     BlockCollection blocks = BuildTokenWorkflowBlocks(s, workflow, &timing);
-    stats_.phases.push_back(
-        {"token_blocking", 0, timing.token_blocking_seconds});
+    stats_.phases.push_back({"token_blocking", timing.token_blocking_seconds});
     if (workflow.enable_purging) {
-      stats_.phases.push_back({"block_purging", 0, timing.purging_seconds});
+      stats_.phases.push_back({"block_purging", timing.purging_seconds});
     }
     if (workflow.enable_filtering) {
-      stats_.phases.push_back(
-          {"block_filtering", 0, timing.filtering_seconds});
+      stats_.phases.push_back({"block_filtering", timing.filtering_seconds});
     }
     stats_.num_blocks = blocks.size();
     stats_.aggregate_cardinality = blocks.AggregateCardinality();
@@ -94,49 +97,49 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   };
 
   std::optional<BlockCollection> workflow_blocks;
-  if (MethodHasBatchRefills(options_.method)) {
+  if (MethodHasBatchRefills(options.method)) {
     workflow_blocks.emplace(run_workflow(store));
   }
 
   double method_seconds = 0.0;
   {
     obs::ScopedPhase method_phase(scope, "method_build", &method_seconds);
-    switch (options_.method) {
+    switch (options.method) {
     case MethodId::kPsn:
-      SPER_CHECK(options_.schema_key != nullptr &&
-                 "kPsn requires EngineConfig::schema_key");
-      inner_ = std::make_unique<PsnEmitter>(store, options_.schema_key,
-                                            options_.list);
+      SPER_CHECK(options.schema_key != nullptr &&
+                 "kPsn requires ResolverOptions::schema_key");
+      inner_ = std::make_unique<PsnEmitter>(store, options.schema_key,
+                                            options.list);
       break;
     case MethodId::kSaPsn:
-      inner_ = std::make_unique<SaPsnEmitter>(store, options_.list);
+      inner_ = std::make_unique<SaPsnEmitter>(store, options.list);
       break;
     case MethodId::kSaPsab:
-      inner_ = std::make_unique<SaPsabEmitter>(store, options_.suffix);
+      inner_ = std::make_unique<SaPsabEmitter>(store, options.suffix);
       break;
     case MethodId::kLsPsn:
-      inner_ = std::make_unique<LsPsnEmitter>(store, options_.list);
+      inner_ = std::make_unique<LsPsnEmitter>(store, options.list);
       break;
     case MethodId::kGsPsn: {
       GsPsnOptions gs;
-      gs.wmax = options_.gs_wmax;
-      gs.list = options_.list;
+      gs.wmax = options.gs_wmax;
+      gs.list = options.list;
       inner_ = std::make_unique<GsPsnEmitter>(store, gs);
       break;
     }
     case MethodId::kPbs: {
       PbsOptions pbs;
-      pbs.scheme = options_.scheme;
-      pbs.num_threads = options_.num_threads;
+      pbs.scheme = options.scheme;
+      pbs.num_threads = num_threads;
       pbs.telemetry = scope;
       inner_ = std::make_unique<PbsEmitter>(store, *workflow_blocks, pbs);
       break;
     }
     case MethodId::kPps: {
       PpsOptions pps;
-      pps.scheme = options_.scheme;
-      pps.kmax = options_.pps_kmax;
-      pps.num_threads = options_.num_threads;
+      pps.scheme = options.scheme;
+      pps.kmax = options.pps_kmax;
+      pps.num_threads = num_threads;
       pps.telemetry = scope;
       inner_ = std::make_unique<PpsEmitter>(store,
                                             std::move(*workflow_blocks), pps);
@@ -144,57 +147,9 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
     }
     }
   }
-  stats_.phases.push_back({"method_build", 0, method_seconds});
+  stats_.phases.push_back({"method_build", method_seconds});
   SPER_CHECK(inner_ != nullptr && "unknown method");
-
-  // Emission pipeline (lookahead > 0): run the method's refills on a pool
-  // worker, bounded `lookahead` batches ahead of Next(). Only the
-  // batch-refilling methods expose the refill boundary; the rest keep the
-  // serial path regardless of the option.
   batch_source_ = dynamic_cast<BatchSource*>(inner_.get());
-  fault_site_ = options_.instance_label.empty()
-                    ? "refill"
-                    : "refill." + options_.instance_label;
-  if (options_.lookahead > 0 && batch_source_ != nullptr) {
-    if (emission_pool == nullptr) {
-      owned_emission_pool_ = std::make_unique<ThreadPool>(1);
-      emission_pool = owned_emission_pool_.get();
-      if (scope.enabled()) {
-        owned_emission_pool_->set_dropped_exceptions_counter(
-            scope.counter("pool.dropped_exceptions"));
-      }
-    }
-    // Refill batches can be tiny (a PPS profile contributes at most kmax
-    // and usually far fewer comparisons), so the producer coalesces
-    // consecutive refills into one ring slot until it holds at least
-    // kMinBatchItems. Consecutive batches are consumed back to back
-    // anyway, so concatenation keeps the serial order while amortizing
-    // the per-slot handoff to once per ~kMinBatchItems emissions.
-    constexpr std::size_t kMinBatchItems = 256;
-    if (scope.enabled()) {
-      pipeline_metrics_.batches = scope.counter("pipeline.batches");
-      pipeline_metrics_.producer_stalls =
-          scope.counter("pipeline.producer_stalls");
-      pipeline_metrics_.consumer_waits =
-          scope.counter("pipeline.consumer_waits");
-      pipeline_metrics_.refill_ns = scope.histogram("pipeline.refill_ns");
-      pipeline_metrics_.ring_occupancy =
-          scope.histogram("pipeline.ring_occupancy");
-    }
-    pipeline_ = std::make_unique<EmissionPipeline<ComparisonList>>(
-        options_.lookahead,
-        [source = batch_source_,
-         scratch = ComparisonList()](ComparisonList& out) mutable {
-          out.Clear();
-          do {
-            if (!source->ProduceBatch(scratch)) break;
-            out.AppendFrom(scratch);
-          } while (out.remaining() < kMinBatchItems);
-          return !out.Empty();
-        },
-        scope.enabled() ? &pipeline_metrics_ : nullptr, fault_site_);
-    pipeline_->Start(*emission_pool);
-  }
 
   stats_.init_seconds = init_watch.ElapsedSeconds();
   scope.RecordSpan("init", init_watch.start(), obs::Stopwatch::Now());
@@ -204,8 +159,7 @@ ProgressiveEngine::ProgressiveEngine(const ProfileStore& store,
   }
 }
 
-PullStatus ProgressiveEngine::Poison(std::size_t batch_index,
-                                     std::exception_ptr error) {
+PullStatus ProgressiveEngine::Poison(std::exception_ptr error) {
   std::string what = "unknown error";
   try {
     std::rethrow_exception(std::move(error));
@@ -213,59 +167,39 @@ PullStatus ProgressiveEngine::Poison(std::size_t batch_index,
     what = e.what();
   } catch (...) {
   }
-  const std::string& label = options_.instance_label;
-  status_ = Status::Internal(
-      "refill producer failed (" + (label.empty() ? "engine" : label) +
-      ", batch " + std::to_string(batch_index) + "): " + what);
+  status_ = Status::Internal("refill producer failed (engine, batch " +
+                             std::to_string(batch_index_) + "): " + what);
   return PullStatus::kError;
 }
 
-PullStatus ProgressiveEngine::PipelinedPull(Comparison& out,
-                                            const CancelToken& token) {
-  // front_ caches the slot being drained so the ring (and its mutex) is
-  // only touched once per batch, not once per comparison.
-  while (front_ == nullptr || front_->Empty()) {
-    if (front_ != nullptr) {
-      pipeline_->PopFront();  // batch drained: recycle the slot
-      front_ = nullptr;
-    }
-    bool expired = false;
-    front_ = pipeline_->FrontUntil(token, &expired);
-    if (front_ == nullptr) {
-      if (expired) return PullStatus::kCancelled;
-      // End of stream — clean exhaustion or a contained producer death.
-      EmissionPipelineError error = pipeline_->error();
-      if (error.exception != nullptr) {
-        return Poison(error.batch_index, std::move(error.exception));
-      }
-      return PullStatus::kExhausted;
-    }
-  }
-  out = front_->PopFirst();
-  return PullStatus::kOk;
+PullStatus ProgressiveEngine::Pull(Comparison& out, const CancelToken& token) {
+  if (!status_.ok()) return PullStatus::kError;
+  if (drained_ || BudgetExhausted()) return PullStatus::kExhausted;
+  const PullStatus pulled = PullUnbudgeted(out, token);
+  if (pulled == PullStatus::kOk) ++emitted_;
+  return pulled;
 }
 
-PullStatus ProgressiveEngine::SerialPull(Comparison& out,
-                                         const CancelToken& token) {
+PullStatus ProgressiveEngine::PullUnbudgeted(Comparison& out,
+                                             const CancelToken& token) {
   if (batch_source_ != nullptr) {
-    // Inline-refill reference path of the batch methods: identical
-    // sequence to inner_->Next() per the BatchSource contract, but with
-    // the cancellation check and failure containment at the refill
-    // boundary (a refill is the unit of work a token can skip without
-    // corrupting method state).
-    while (serial_batch_.Empty()) {
+    // Identical sequence to inner_->Next() per the BatchSource contract,
+    // but with the cancellation check and failure containment at the
+    // refill boundary (a refill is the unit of work a token can skip
+    // without corrupting method state).
+    while (batch_.Empty()) {
       if (token.valid() && token.cancelled()) return PullStatus::kCancelled;
       try {
-        SPER_FAULT_HIT(fault_site_);
-        if (!batch_source_->ProduceBatch(serial_batch_)) {
+        SPER_FAULT_HIT("refill");
+        if (!batch_source_->ProduceBatch(batch_)) {
           return PullStatus::kExhausted;
         }
-        ++serial_batch_index_;
+        ++batch_index_;
       } catch (...) {
-        return Poison(serial_batch_index_, std::current_exception());
+        return Poison(std::current_exception());
       }
     }
-    out = serial_batch_.PopFirst();
+    out = batch_.PopFirst();
     return PullStatus::kOk;
   }
   // Sort-based methods: every Next() is one bounded unit of work.
@@ -276,19 +210,8 @@ PullStatus ProgressiveEngine::SerialPull(Comparison& out,
     out = *next;
     return PullStatus::kOk;
   } catch (...) {
-    return Poison(serial_batch_index_, std::current_exception());
+    return Poison(std::current_exception());
   }
-}
-
-PullStatus ProgressiveEngine::PullUnbudgeted(Comparison& out,
-                                             const CancelToken& token) {
-  return pipeline_ != nullptr ? PipelinedPull(out, token)
-                              : SerialPull(out, token);
-}
-
-void ProgressiveEngine::Drain() {
-  drained_ = true;
-  if (pipeline_ != nullptr) pipeline_->Shutdown();
 }
 
 }  // namespace sper

@@ -6,34 +6,9 @@
 #include <string>
 #include <utility>
 
-#include "engine/progressive_engine.h"
-#include "engine/sharded_engine.h"
 #include "obs/fault_injection.h"
 
 namespace sper {
-
-namespace {
-
-/// ResolverOptions -> the per-engine configuration the implementations
-/// take. Stays in one place so plain and sharded creation cannot drift.
-EngineConfig ToEngineConfig(const ResolverOptions& options) {
-  EngineConfig engine;
-  engine.method = options.method;
-  engine.num_threads = options.num_threads;
-  engine.budget = options.budget;
-  engine.lookahead = options.lookahead;
-  engine.workflow = options.workflow;
-  engine.scheme = options.scheme;
-  engine.pps_kmax = options.pps_kmax;
-  engine.gs_wmax = options.gs_wmax;
-  engine.suffix = options.suffix;
-  engine.list = options.list;
-  engine.schema_key = options.schema_key;
-  engine.telemetry = options.telemetry;
-  return engine;
-}
-
-}  // namespace
 
 std::string_view ToString(Priority priority) {
   switch (priority) {
@@ -87,16 +62,6 @@ Status ResolverOptions::Validate() const {
         "num_threads must be in [1, " + std::to_string(kMaxThreads) +
         "], got " + std::to_string(num_threads));
   }
-  if (num_shards == 0 || num_shards > kMaxShards) {
-    return Status::InvalidArgument(
-        "num_shards must be in [1, " + std::to_string(kMaxShards) +
-        "], got " + std::to_string(num_shards));
-  }
-  if (lookahead > kMaxLookahead) {
-    return Status::InvalidArgument(
-        "lookahead must be <= " + std::to_string(kMaxLookahead) + ", got " +
-        std::to_string(lookahead));
-  }
   if (method == MethodId::kPsn && schema_key == nullptr) {
     return Status::InvalidArgument(
         "method PSN requires a schema blocking key "
@@ -129,8 +94,8 @@ Status ValidateResolveRequest(const ResolveRequest& request) {
   return Status::Ok();
 }
 
-Resolver::Resolver(ResolverOptions options, std::unique_ptr<Engine> engine)
-    : options_(std::move(options)), engine_(std::move(engine)) {
+Resolver::Resolver(const ProfileStore& store, ResolverOptions options)
+    : options_(std::move(options)), engine_(store, options_) {
   const obs::TelemetryScope& scope = options_.telemetry;
   if (scope.enabled()) {
     queue_wait_ns_ = scope.histogram("session.queue_wait_ns");
@@ -147,16 +112,7 @@ Resolver::Resolver(ResolverOptions options, std::unique_ptr<Engine> engine)
 Result<std::unique_ptr<Resolver>> Resolver::Create(const ProfileStore& store,
                                                    ResolverOptions options) {
   SPER_RETURN_IF_ERROR(options.Validate());
-  std::unique_ptr<Engine> engine;
-  if (options.num_shards > 1) {
-    engine = std::make_unique<ShardedEngine>(store, ToEngineConfig(options),
-                                             options.num_shards);
-  } else {
-    engine =
-        std::make_unique<ProgressiveEngine>(store, ToEngineConfig(options));
-  }
-  return std::unique_ptr<Resolver>(
-      new Resolver(std::move(options), std::move(engine)));
+  return std::unique_ptr<Resolver>(new Resolver(store, std::move(options)));
 }
 
 ResolveResult Resolver::Serve(const ResolveRequest& request) {
@@ -224,7 +180,7 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
     // later ones get the stable "this resolver is dead" answer.
     result.outcome = ResolveOutcome::kRejected;
     result.status = Status::FailedPrecondition(
-        "resolver engine poisoned: " + engine_->status().message());
+        "resolver engine poisoned: " + engine_.status().message());
     if (rejected_ != nullptr) rejected_->Add();
     return result;
   }
@@ -251,15 +207,15 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
 
   std::uint64_t tick = 0;
   while (result.comparisons.size() < want) {
-    // The engine checks the token at its own batch boundaries, but a warm
-    // pipeline can serve thousands of pulls without hitting one — this
-    // stride check bounds how far past its deadline a request can run.
+    // The engine checks the token only at refill boundaries, and a single
+    // PBS block refill can hold thousands of comparisons — this stride
+    // check bounds how far past its deadline a request can run.
     if (token.valid() && (tick++ & 15) == 0 && token.cancelled()) {
       record_cut();
       break;
     }
     Comparison next;
-    const PullStatus pulled = engine_->Pull(next, token);
+    const PullStatus pulled = engine_.Pull(next, token);
     if (pulled == PullStatus::kOk) {
       result.comparisons.push_back(next);
       continue;
@@ -267,7 +223,7 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
     if (pulled == PullStatus::kExhausted) {
       // Exhaustion is either the global budget running out mid-slice or
       // the method running dry; tell the caller which.
-      if (engine_->BudgetExhausted()) {
+      if (engine_.BudgetExhausted()) {
         result.budget_exhausted = true;
       } else {
         result.stream_exhausted = true;
@@ -276,7 +232,7 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
       record_cut();
     } else {  // kError: the first observer reports the contained failure
       result.outcome = ResolveOutcome::kFailed;
-      result.status = engine_->status();
+      result.status = engine_.status();
       poison_reported_ = true;
       if (errors_ != nullptr) errors_->Add();
     }
@@ -284,7 +240,7 @@ ResolveResult Resolver::Serve(const ResolveRequest& request) {
   }
   // A request admitted after the global budget is spent (including a
   // zero-budget probe) still learns so without drawing.
-  if (engine_->BudgetExhausted()) result.budget_exhausted = true;
+  if (engine_.BudgetExhausted()) result.budget_exhausted = true;
 
   if (requests_ != nullptr) {
     const obs::Stopwatch::TimePoint done = obs::Stopwatch::Now();
@@ -315,7 +271,7 @@ void Resolver::Drain() {
     while (now_serving_ < horizon) cv_.Wait(lock);
   }
   if (!engine_drained_) {
-    engine_->Drain();  // shuts down + joins shard producers
+    engine_.Drain();
     engine_drained_ = true;
     options_.telemetry.RecordSpan("session.drain", watch.start(),
                                   obs::Stopwatch::Now());

@@ -11,9 +11,7 @@ ResolverOptions ToResolverOptions(MethodId id, const DatasetBundle& dataset,
   ResolverOptions options;
   options.method = id;
   options.num_threads = config.num_threads;
-  options.num_shards = config.num_shards;
   options.budget = config.budget;
-  options.lookahead = config.lookahead;
   options.workflow = config.workflow;
   options.scheme = config.scheme;
   options.pps_kmax = config.pps_kmax;
@@ -23,15 +21,12 @@ ResolverOptions ToResolverOptions(MethodId id, const DatasetBundle& dataset,
   options.schema_key = dataset.psn_key;
   options.telemetry = config.telemetry;
   // MethodConfig is the old lenient surface (the engines historically
-  // accepted any thread/shard count, with 0 meaning one); ResolverOptions
+  // accepted any thread count, with 0 meaning one); ResolverOptions
   // validates instead, so normalize into range here at the boundary —
   // MakeResolver must not start rejecting configs that used to run.
   if (options.num_threads == 0) options.num_threads = 1;
-  if (options.num_shards == 0) options.num_shards = 1;
   options.num_threads =
       std::min(options.num_threads, ResolverOptions::kMaxThreads);
-  options.num_shards = std::min(options.num_shards, ResolverOptions::kMaxShards);
-  options.lookahead = std::min(options.lookahead, ResolverOptions::kMaxLookahead);
   return options;
 }
 
@@ -43,7 +38,7 @@ std::unique_ptr<Resolver> MakeResolver(MethodId id,
       Resolver::Create(dataset.store, ToResolverOptions(id, dataset, config));
   if (!resolver.ok()) {
     // Only reachable for degenerate method knobs (e.g. pps_kmax = 0);
-    // the serving-shape knobs are normalized above. Name the reason
+    // the thread count is normalized above. Name the reason
     // before the check aborts.
     std::fprintf(stderr, "MakeResolver: %s\n",
                  resolver.status().ToString().c_str());

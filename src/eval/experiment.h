@@ -40,13 +40,6 @@ struct MethodConfig {
   /// Threads for the initialization phase (1 = sequential; emitted
   /// sequences are identical at every thread count).
   std::size_t num_threads = 1;
-  /// Hash shards for sharded serving (>1 routes through ShardedEngine:
-  /// one engine per shard, globally merged emission in original ids).
-  std::size_t num_shards = 1;
-  /// Emission pipeline lookahead (ResolverOptions::lookahead): 0 = serial
-  /// reference emission; > 0 overlaps refill production with consumption
-  /// (per shard when sharded) with a bit-identical emitted sequence.
-  std::size_t lookahead = 0;
   /// Global pay-as-you-go budget (ResolverOptions::budget): maximum
   /// comparisons emitted across the whole run; 0 = unlimited.
   std::uint64_t budget = 0;
@@ -56,9 +49,9 @@ struct MethodConfig {
 
 /// The ResolverOptions equivalent of a MethodConfig for one method on one
 /// dataset (the dataset supplies the PSN schema key). MethodConfig is the
-/// old lenient surface: out-of-range thread/shard/lookahead values are
-/// normalized into ResolverOptions' validated ranges rather than
-/// rejected, so every config the harness ever ran keeps running.
+/// old lenient surface: an out-of-range thread count is normalized into
+/// ResolverOptions' validated range rather than rejected, so every config
+/// the harness ever ran keeps running.
 ResolverOptions ToResolverOptions(MethodId id, const DatasetBundle& dataset,
                                   const MethodConfig& config);
 

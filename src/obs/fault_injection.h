@@ -23,10 +23,7 @@
 /// failing run replays exactly.
 ///
 /// Instrumented seams (site names are part of the test/bench contract):
-///   - "ring.acquire_slot"        SpscSlotRing producer-side acquire
-///   - "refill" / "refill.<lbl>"  one refill-batch production (per shard
-///                                when sharded, e.g. "refill.shard0")
-///   - "merge.draw"               one ShardedEngine k-way-merge draw
+///   - "refill"                   one refill-batch production
 ///   - "session.admit"            one Resolver::Serve admission
 ///   - "qos.admit"                one QosAdmissionController::Resolve entry
 ///   - "qos.shed"                 one QoS load-shed (rate limit or queue

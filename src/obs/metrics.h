@@ -22,7 +22,7 @@ namespace sper {
 namespace obs {
 
 /// A monotonic counter, striped across cache lines so concurrent writers
-/// (e.g. one emission-pipeline producer per shard) never contend on one
+/// (e.g. one QoS requester thread per connection) never contend on one
 /// hot cache line. Each thread hashes to a stripe once (thread_local) and
 /// then increments with one relaxed fetch_add; value() sums the stripes.
 class Counter {
@@ -98,7 +98,7 @@ struct HistogramSnapshot {
 /// larger values get 4 sub-buckets per power of two, i.e. at most 25%
 /// relative bucket width. 256 buckets total cover the whole uint64 range
 /// with 2 KiB of storage, so a histogram is cheap enough to exist per
-/// shard per metric.
+/// metric per priority class.
 ///
 /// Quantiles are *exact-rank*: Quantile(q) finds the bucket containing
 /// the ceil(q * count)-th smallest recorded sample — the rank selection

@@ -11,9 +11,9 @@
 /// \file telemetry.h
 /// The instrumentation seam that library code holds: a TelemetryScope is
 /// a (Registry*, name-prefix) pair that flows through options structs
-/// (ResolverOptions -> EngineConfig -> per-shard scopes -> workflow /
-/// emitter options). Code instruments unconditionally against the scope;
-/// the scope decides whether anything happens:
+/// (ResolverOptions -> engine -> workflow / emitter options). Code
+/// instruments unconditionally against the scope; the scope decides
+/// whether anything happens:
 ///
 ///   - runtime off-mode: a default-constructed scope has no registry, so
 ///     counter()/gauge()/histogram() return nullptr and RecordSpan is a
@@ -34,7 +34,7 @@ namespace obs {
 #ifndef SPER_NO_TELEMETRY
 
 /// A handle into a Registry with a hierarchical name prefix
-/// ("shard3." etc). Copyable and cheap; disabled when default-constructed
+/// ("qos." etc). Copyable and cheap; disabled when default-constructed
 /// (no registry).
 class TelemetryScope {
  public:
@@ -47,7 +47,7 @@ class TelemetryScope {
   const std::string& prefix() const { return prefix_; }
 
   /// A child scope whose metric names gain "<name>." on top of this
-  /// scope's prefix (e.g. Sub("shard0") -> "shard0.phase...").
+  /// scope's prefix (e.g. Sub("net") -> "net.phase...").
   TelemetryScope Sub(std::string_view name) const {
     if (!enabled()) return {};
     return TelemetryScope(registry_, prefix_ + std::string(name) + ".");

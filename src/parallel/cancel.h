@@ -11,11 +11,10 @@
 /// \file cancel.h
 /// Cooperative cancellation for the serving stack: a `CancelToken` is a
 /// cheap shared handle that long-running pulls (Resolver::Serve draw
-/// loops, emission-pipeline waits, k-way-merge refills) poll at batch
-/// granularity. Cancellation is *advisory* — a fired token never tears
-/// state down; it makes the current pull return "cancelled" with every
-/// buffer intact, so the next pull (the next request's) continues the
-/// stream bit-identically.
+/// loops, engine refills) poll at batch granularity. Cancellation is
+/// *advisory* — a fired token never tears state down; it makes the
+/// current pull return "cancelled" with every buffer intact, so the next
+/// pull (the next request's) continues the stream bit-identically.
 ///
 /// Two ways a token fires:
 ///   - explicitly, through the owning CancelSource's Cancel();
@@ -25,11 +24,6 @@
 /// one relaxed load instead of a clock read.
 
 namespace sper {
-
-/// How often blocking waits that honor a deadline-less token re-check it
-/// for an explicit Cancel() (there is no wakeup to wait for in that case,
-/// only a poll).
-inline constexpr std::chrono::milliseconds kCancelPollInterval{1};
 
 /// Why a token fired. kNone while the token is live.
 enum class CancelReason : std::uint8_t {
@@ -94,7 +88,7 @@ class CancelToken {
   }
 
   /// The earliest deadline along the parent chain. Only meaningful when
-  /// has_deadline(); blocking waits use it for wait_until.
+  /// has_deadline().
   Clock::time_point deadline() const {
     Clock::time_point earliest = Clock::time_point::max();
     for (const State* s = state_.get(); s != nullptr; s = s->parent.get()) {

@@ -64,10 +64,6 @@ void ThreadPool::WorkerLoop() {
           // The rethrow slot is taken; make the masked failure countable
           // instead of vanishing.
           dropped_exceptions_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::Counter* counter =
-                  dropped_counter_.load(std::memory_order_acquire)) {
-            counter->Add();
-          }
         }
       }
       if (--in_flight_ == 0) all_done_.NotifyAll();

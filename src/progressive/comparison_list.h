@@ -43,15 +43,6 @@ class ComparisonList {
     cursor_ = 0;
   }
 
-  /// Appends `other`'s not-yet-popped comparisons to the tail, preserving
-  /// their order. The emission pipeline coalesces several small refill
-  /// batches into one ring slot this way: consecutive refills are emitted
-  /// back to back anyway, so concatenation preserves the serial order.
-  void AppendFrom(const ComparisonList& other) {
-    items_.insert(items_.end(), other.items_.begin() + other.cursor_,
-                  other.items_.end());
-  }
-
   /// True when every buffered comparison has been popped.
   bool Empty() const { return cursor_ >= items_.size(); }
 
@@ -59,7 +50,7 @@ class ComparisonList {
   Comparison PopFirst() { return items_[cursor_++]; }
 
   /// Drops all content (start of a refill). Capacity is retained, so a
-  /// reused list (pipeline ring slots) stops allocating once warm.
+  /// reused list (the engine's refill batch) stops allocating once warm.
   void Clear() {
     items_.clear();
     cursor_ = 0;

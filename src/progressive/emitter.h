@@ -40,9 +40,9 @@ class ProgressiveEmitter {
 };
 
 /// Optional capability of the Comparison-List methods (PBS, PPS): exposes
-/// the deterministic refill boundary, so the emission pipeline
-/// (parallel/emission_pipeline.h) can run batch production ahead of
-/// consumption instead of computing refills inline in Next().
+/// the deterministic refill boundary, so the engine (engine/
+/// progressive_engine.h) can check cancellation and contain failures
+/// between refills instead of inside Next().
 ///
 /// Contract: batches must be requested strictly in order by one caller at
 /// a time — a refill mutates method state the following refills depend on

@@ -48,7 +48,7 @@ class PbsEmitter : public ProgressiveEmitter, public BatchSource {
   /// scheduled block. nullopt once every block has been processed.
   std::optional<Comparison> Next() override;
 
-  /// Batch boundary for the emission pipeline: one batch per scheduled
+  /// Refill boundary for the engine: one batch per scheduled
   /// block, in schedule order (blocks whose comparisons were all
   /// LeCoBI-filtered are skipped). See BatchSource for the single-caller
   /// contract.

@@ -62,7 +62,7 @@ class PpsEmitter : public ProgressiveEmitter, public BatchSource {
   /// gathering its Kmax best comparisons among not-yet-checked neighbors.
   std::optional<Comparison> Next() override;
 
-  /// Batch boundary for the emission pipeline: the initial top-comparison
+  /// Refill boundary for the engine: the initial top-comparison
   /// list first, then one batch per Sorted Profile List entry (empty
   /// refills skipped). See BatchSource for the single-caller contract.
   bool ProduceBatch(ComparisonList& out) override;

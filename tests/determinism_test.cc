@@ -11,6 +11,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/progressive_engine.h"
+#include "engine/resolver.h"
 #include "eval/evaluator.h"
 #include "eval/experiment.h"
 #include "progressive/sa_psn.h"
@@ -108,40 +109,64 @@ TEST(DeterminismTest, DifferentNeighborListSeedsChangeCoincidentalOrder) {
 
 // The parallel initialization paths (sharded token index, block
 // filtering, edge weighting) promise bit-identical results at every
-// thread count. Drain the full emission sequence at 1 and 4 threads and
-// require exact equality — weights compared bit-for-bit, not
-// approximately.
-class ThreadCountInvarianceTest : public ::testing::TestWithParam<MethodId> {
+// thread count. Drain the full emission sequence at 1 thread and at each
+// parameter thread count, on a Dirty and a Clean-Clean store, and require
+// exact equality — weights compared bit-for-bit, not approximately.
+struct ThreadCountCase {
+  MethodId method;
+  bool clean_clean;
+  std::size_t num_threads;
 };
 
-TEST_P(ThreadCountInvarianceTest, OneAndFourThreadsEmitIdenticalSequences) {
-  Result<DatasetBundle> dataset = GenerateDataset("restaurant");
+class ThreadCountInvarianceTest
+    : public ::testing::TestWithParam<ThreadCountCase> {};
+
+TEST_P(ThreadCountInvarianceTest, ThreadCountNeverChangesTheStream) {
+  DatagenOptions gen;
+  if (GetParam().clean_clean) gen.scale = 0.1;
+  Result<DatasetBundle> dataset =
+      GenerateDataset(GetParam().clean_clean ? "movies" : "restaurant", gen);
   ASSERT_TRUE(dataset.ok());
   auto run = [&](std::size_t num_threads) {
-    EngineConfig options;
-    options.method = GetParam();
+    ResolverOptions options;
+    options.method = GetParam().method;
     options.num_threads = num_threads;
     ProgressiveEngine engine(dataset.value().store, options);
     return Drain(&engine, 1000000);
   };
   const std::vector<Comparison> one = run(1);
-  const std::vector<Comparison> four = run(4);
-  ASSERT_EQ(one.size(), four.size());
+  const std::vector<Comparison> many = run(GetParam().num_threads);
+  ASSERT_EQ(one.size(), many.size());
   ASSERT_GT(one.size(), 0u);
   for (std::size_t k = 0; k < one.size(); ++k) {
-    ASSERT_EQ(one[k].i, four[k].i) << "position " << k;
-    ASSERT_EQ(one[k].j, four[k].j) << "position " << k;
+    ASSERT_EQ(one[k].i, many[k].i) << "position " << k;
+    ASSERT_EQ(one[k].j, many[k].j) << "position " << k;
     // Bit-identical, not EXPECT_DOUBLE_EQ: the parallel merge must not
     // reorder any floating-point accumulation.
-    ASSERT_EQ(one[k].weight, four[k].weight) << "position " << k;
+    ASSERT_EQ(one[k].weight, many[k].weight) << "position " << k;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ParallelMethods, ThreadCountInvarianceTest,
-                         ::testing::Values(MethodId::kPbs, MethodId::kPps),
-                         [](const ::testing::TestParamInfo<MethodId>& info) {
-                           return std::string(ToString(info.param));
-                         });
+std::vector<ThreadCountCase> ThreadCountCases() {
+  std::vector<ThreadCountCase> cases;
+  for (MethodId method : {MethodId::kPbs, MethodId::kPps}) {
+    for (bool clean_clean : {false, true}) {
+      for (std::size_t num_threads : {1u, 2u, 4u, 8u}) {
+        cases.push_back({method, clean_clean, num_threads});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ParallelMethods, ThreadCountInvarianceTest,
+    ::testing::ValuesIn(ThreadCountCases()),
+    [](const ::testing::TestParamInfo<ThreadCountCase>& info) {
+      return std::string(ToString(info.param.method)) +
+             (info.param.clean_clean ? "_CleanClean_" : "_Dirty_") +
+             std::to_string(info.param.num_threads) + "threads";
+    });
 
 TEST(DeterminismTest, WorkflowBlocksAreThreadCountInvariant) {
   // The workflow collection itself (keys, membership, order) must match
@@ -176,7 +201,7 @@ TEST(DeterminismTest, EjsDegreePassIsThreadCountInvariant) {
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   auto run = [&](std::size_t num_threads) {
-    EngineConfig options;
+    ResolverOptions options;
     options.method = MethodId::kPps;
     options.scheme = WeightingScheme::kEjs;
     options.num_threads = num_threads;

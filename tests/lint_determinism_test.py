@@ -210,7 +210,7 @@ class BannedIdentifierTest(unittest.TestCase):
 
     def test_silent_on_new_names(self):
         files = {"src/x/a.cc":
-                 "EngineConfig config;\nInitStats stats;\n"}
+                 "ResolverOptions options;\nInitStats stats;\n"}
         self.assertEqual(rules(run(files)), [])
 
 

@@ -13,7 +13,7 @@
 // - the loopback server serves remote clients through QoS with the same
 //   bit-identity guarantee in-process callers get: slices any set of
 //   concurrent connections received, re-sorted by ticket, equal one
-//   in-process drain — at shards 1 and 4, under TSan;
+//   serial in-process drain — at 1 and 4 init threads, under TSan;
 // - a client that vanishes mid-stream poisons nothing: its lost slices
 //   leave ticket gaps, every other connection's slices stay bit-identical
 //   per ticket, and the server keeps serving new connections;
@@ -498,15 +498,16 @@ TEST(ServerLoopbackTest, SingleClientDrainIsBitIdentical) {
 }
 
 // The acceptance gate: N concurrent clients with mixed priorities,
-// re-sorted by ticket, concatenate bit-identically to a single in-process
-// drain — at shards 1 and 4 (this test runs in the TSan CI job).
+// re-sorted by ticket, concatenate bit-identically to a single serial
+// in-process drain — at 1 and 4 init threads (this test runs in the TSan
+// CI job).
 TEST(ServerLoopbackTest, ConcurrentMixedPriorityClientsAreBitIdentical) {
   const ProfileStore store = DirtyStore();
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+  const auto reference = ReferenceSlices(store, ResolverOptions(), kSlice);
+  ASSERT_FALSE(reference.empty());
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
     ResolverOptions options;
-    options.num_shards = shards;
-    const auto reference = ReferenceSlices(store, options, kSlice);
-    ASSERT_FALSE(reference.empty());
+    options.num_threads = num_threads;
 
     LoopbackServer loopback = StartLoopback(store, options);
     constexpr int kClients = 4;
@@ -533,7 +534,7 @@ TEST(ServerLoopbackTest, ConcurrentMixedPriorityClientsAreBitIdentical) {
       }
     }
     EXPECT_TRUE(SameComparisons(Flatten(merged), Flatten(reference)))
-        << "concurrent drain diverged at shards=" << shards;
+        << "concurrent drain diverged at threads=" << num_threads;
   }
 }
 

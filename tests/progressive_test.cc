@@ -103,21 +103,6 @@ TEST(ComparisonListTest, FillFromAscendingReversesInsteadOfSorting) {
   EXPECT_TRUE(list.Empty());
 }
 
-TEST(ComparisonListTest, AppendFromConcatenatesRemainingItems) {
-  ComparisonList batch;
-  batch.Add(Comparison(0, 1, 0.9));
-  batch.Add(Comparison(0, 2, 0.8));
-  batch.SortDescending();
-  batch.PopFirst();  // already-popped items must not be re-appended
-
-  ComparisonList list;
-  list.Add(Comparison(4, 5, 0.95));
-  list.AppendFrom(batch);
-  EXPECT_EQ(list.remaining(), 2u);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.95);
-  EXPECT_DOUBLE_EQ(list.PopFirst().weight, 0.8);
-}
-
 // ------------------------------------------------------------- TopKBuffer
 
 TEST(TopKBufferTest, KeepsTheKBestInAscendingOrder) {

@@ -8,14 +8,14 @@
 // - cancellation and deadlines are *advisory*: a cut request returns its
 //   partial slice with the flag set and nothing torn down — the next
 //   ticket continues the stream bit-identically, at every (method,
-//   shards, lookahead) combination;
+//   threads) combination;
 // - Drain() stops admitting, lets in-flight tickets finish, and is safe
 //   to race with concurrent Serve(): every request is either fully
 //   served or cleanly rejected with FailedPrecondition, and the served
 //   slices in ticket order form an exact prefix of the un-batched drain;
 // - the QoS admission controller (src/serving/qos.h) composes with all
 //   of the above: shed-then-retry clients still reassemble the exact
-//   stream at every (method, shards, lookahead) combination, batch
+//   stream at every (method, threads) combination, batch
 //   requests wait a bounded number of dispatches under sustained
 //   interactive load (smooth WRR), doomed requests are evicted without
 //   consuming stream capacity while barely-feasible ones are served, and
@@ -24,7 +24,7 @@
 // - ThreadPool surfaces the first task exception from Wait() and counts
 //   the rest in dropped_exceptions() instead of discarding them;
 // - with SPER_FAULT_INJECT compiled in (skipped otherwise): an injected
-//   refill failure poisons the engine with shard and batch context, later
+//   refill failure poisons the engine with batch context, later
 //   requests get FailedPrecondition; an injected stall plus a deadline
 //   cuts slices short, and disarming then draining the rest still
 //   reassembles the exact reference stream.
@@ -91,21 +91,18 @@ std::unique_ptr<Resolver> MustCreate(const ProfileStore& store,
   return std::move(resolver).value();
 }
 
-/// The (method, shards, lookahead) matrix every continuation guarantee is
-/// checked against — the same coverage the determinism suite uses.
+/// The (method, threads) matrix every continuation guarantee is checked
+/// against — the same coverage the determinism suite uses.
 struct ServingConfig {
   MethodId method;
-  std::size_t num_shards;
-  std::size_t lookahead;
+  std::size_t num_threads;
 };
 
 std::vector<ServingConfig> ServingMatrix() {
   std::vector<ServingConfig> matrix;
   for (MethodId method : {MethodId::kPps, MethodId::kPbs}) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-        matrix.push_back({method, shards, lookahead});
-      }
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      matrix.push_back({method, threads});
     }
   }
   return matrix;
@@ -113,8 +110,16 @@ std::vector<ServingConfig> ServingMatrix() {
 
 std::string TraceOf(const ServingConfig& config) {
   return std::string(ToString(config.method)) +
-         " shards=" + std::to_string(config.num_shards) +
-         " lookahead=" + std::to_string(config.lookahead);
+         " threads=" + std::to_string(config.num_threads);
+}
+
+/// The reference every serving configuration must reproduce: the first
+/// `limit` comparisons of one serial (single-thread) un-batched drain.
+std::vector<Comparison> SerialDrain(const ProfileStore& store,
+                                    ResolverOptions options,
+                                    std::size_t limit = 1000000) {
+  options.num_threads = 1;
+  return Drain(MustCreate(store, options).get(), limit);
 }
 
 // ---------------------------------------------------------- cancel tokens
@@ -186,12 +191,10 @@ TEST(ResolverCancelTest, CutRequestsContinueBitIdentically) {
     SCOPED_TRACE(TraceOf(config));
     ResolverOptions options;
     options.method = config.method;
-    options.num_shards = config.num_shards;
-    options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = kBudget;
 
-    const std::vector<Comparison> reference =
-        Drain(MustCreate(store, options).get(), 1000000);
+    const std::vector<Comparison> reference = SerialDrain(store, options);
     ASSERT_FALSE(reference.empty());
 
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
@@ -291,12 +294,10 @@ TEST(ResolverDrainTest, ConcurrentDrainVsServeNeverCorruptsTheStream) {
     SCOPED_TRACE(TraceOf(config));
     ResolverOptions options;
     options.method = config.method;
-    options.num_shards = config.num_shards;
-    options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = kBudget;
 
-    const std::vector<Comparison> reference =
-        Drain(MustCreate(store, options).get(), 1000000);
+    const std::vector<Comparison> reference = SerialDrain(store, options);
     ASSERT_FALSE(reference.empty());
 
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
@@ -396,51 +397,53 @@ TEST(ResolverDrainTest, ConcurrentDoubleDrainBothReturn) {
 // Clang) surfaces as a data race here.
 TEST(ResolverDrainTest, ConcurrentServeDrainAndSnapshotAreRaceFree) {
   const ProfileStore store = DirtyStore();
-  obs::Registry registry;
-  ResolverOptions options;
-  options.method = MethodId::kPps;
-  options.num_shards = 2;
-  options.lookahead = 2;
-  options.budget = 1500;
-  options.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver = MustCreate(store, options);
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    obs::Registry registry;
+    ResolverOptions options;
+    options.method = MethodId::kPps;
+    options.num_threads = num_threads;
+    options.budget = 1500;
+    options.telemetry = obs::TelemetryScope(&registry);
+    std::unique_ptr<Resolver> resolver = MustCreate(store, options);
 
-  std::atomic<std::uint64_t> served{0};
-  std::atomic<bool> stop_snapshots{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&] {
-      ResolverSession session = resolver->OpenSession();
-      for (;;) {
-        ResolveResult slice = session.Resolve({64, 0});
-        served.fetch_add(slice.comparisons.size(),
-                         std::memory_order_relaxed);
-        if (!slice.status.ok() || slice.stream_exhausted ||
-            slice.budget_exhausted) {
-          break;
+    std::atomic<std::uint64_t> served{0};
+    std::atomic<bool> stop_snapshots{false};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 3; ++t) {
+      workers.emplace_back([&] {
+        ResolverSession session = resolver->OpenSession();
+        for (;;) {
+          ResolveResult slice = session.Resolve({64, 0});
+          served.fetch_add(slice.comparisons.size(),
+                           std::memory_order_relaxed);
+          if (!slice.status.ok() || slice.stream_exhausted ||
+              slice.budget_exhausted) {
+            break;
+          }
         }
+      });
+    }
+    std::thread snapshotter([&] {
+      // Reads the registry's guarded maps while Serve() threads create
+      // metrics and record spans into them.
+      while (!stop_snapshots.load(std::memory_order_relaxed)) {
+        EXPECT_FALSE(registry.SnapshotJson().empty());
+        std::this_thread::yield();
       }
     });
-  }
-  std::thread snapshotter([&] {
-    // Reads the registry's guarded maps while Serve() threads create
-    // metrics and record spans into them.
-    while (!stop_snapshots.load(std::memory_order_relaxed)) {
-      EXPECT_FALSE(registry.SnapshotJson().empty());
+    while (served.load(std::memory_order_relaxed) < 200) {
       std::this_thread::yield();
     }
-  });
-  while (served.load(std::memory_order_relaxed) < 200) {
-    std::this_thread::yield();
-  }
-  resolver->Drain();  // races against in-flight Serve() by design
-  for (std::thread& worker : workers) worker.join();
-  stop_snapshots.store(true, std::memory_order_relaxed);
-  snapshotter.join();
+    resolver->Drain();  // races against in-flight Serve() by design
+    for (std::thread& worker : workers) worker.join();
+    stop_snapshots.store(true, std::memory_order_relaxed);
+    snapshotter.join();
 
-  EXPECT_TRUE(resolver->draining());
-  EXPECT_GT(registry.num_spans(), 0u);
-  EXPECT_FALSE(registry.SnapshotJson().empty());
+    EXPECT_TRUE(resolver->draining());
+    EXPECT_GT(registry.num_spans(), 0u);
+    EXPECT_FALSE(registry.SnapshotJson().empty());
+  }
 }
 
 // ------------------------------------------------ QoS layer composition
@@ -453,7 +456,7 @@ void AwaitQueueDepth(const serving::QosAdmissionController& controller,
 
 // A rate-limited client that backs off by exactly the controller's
 // retry_after_ms hint and retries still reassembles the bit-identical
-// stream at every (method, shards, lookahead) combination — sheds never
+// stream at every (method, threads) combination — sheds never
 // consume stream capacity and never reorder it.
 TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
   const ProfileStore store = DirtyStore();
@@ -461,11 +464,9 @@ TEST(QosRobustnessTest, ShedThenRetryKeepsStreamBitIdentical) {
     SCOPED_TRACE(TraceOf(config));
     ResolverOptions options;
     options.method = config.method;
-    options.num_shards = config.num_shards;
-    options.lookahead = config.lookahead;
+    options.num_threads = config.num_threads;
     options.budget = 600;
-    const std::vector<Comparison> reference =
-        Drain(MustCreate(store, options).get(), 1000000);
+    const std::vector<Comparison> reference = SerialDrain(store, options);
     ASSERT_FALSE(reference.empty());
 
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
@@ -546,54 +547,55 @@ TEST(QosRobustnessTest, BatchWaitIsBoundedUnderSustainedInteractiveLoad) {
   EXPECT_EQ(batch_tickets[1], 7u);
 }
 
-// Doomed eviction composes with a sharded, pipelined engine: the evicted
-// request spends no stream capacity, so the barely-feasible one that
-// follows it still reads the exact head of the stream.
+// Doomed eviction at every thread count: the evicted request spends no
+// stream capacity, so the barely-feasible one that follows it still
+// reads the exact head of the serial stream.
 TEST(QosRobustnessTest, DoomedEvictionVsBarelyMakesDeadline) {
   const ProfileStore store = DirtyStore();
-  ResolverOptions options;
-  options.num_shards = 2;
-  options.lookahead = 2;
-  const std::vector<Comparison> reference =
-      Drain(MustCreate(store, options).get(), 32);
+  const std::vector<Comparison> reference = SerialDrain(store, {}, 32);
   ASSERT_EQ(reference.size(), 32u);
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    ResolverOptions options;
+    options.num_threads = num_threads;
 
-  std::unique_ptr<Resolver> resolver = MustCreate(store, options);
-  obs::ManualClock clock;
-  serving::QosOptions qos;
-  qos.clock = &clock;
-  serving::QosAdmissionController controller(*resolver, qos);
+    std::unique_ptr<Resolver> resolver = MustCreate(store, options);
+    obs::ManualClock clock;
+    serving::QosOptions qos;
+    qos.clock = &clock;
+    serving::QosAdmissionController controller(*resolver, qos);
 
-  controller.SetDispatchPaused(true);
-  ResolveResult doomed_result;
-  std::thread doomed([&] {
-    ResolveRequest request;
-    request.budget = 32;
-    request.deadline_ms = 50;  // cannot survive the 100 ms queue wait
-    doomed_result = controller.Resolve(request);
-  });
-  AwaitQueueDepth(controller, 1);
-  ResolveResult barely_result;
-  std::thread barely([&] {
-    ResolveRequest request;
-    request.budget = 32;
-    request.deadline_ms = 5000;  // survives it comfortably
-    barely_result = controller.Resolve(request);
-  });
-  AwaitQueueDepth(controller, 2);
-  clock.AdvanceMillis(100);
-  controller.SetDispatchPaused(false);
-  doomed.join();
-  barely.join();
+    controller.SetDispatchPaused(true);
+    ResolveResult doomed_result;
+    std::thread doomed([&] {
+      ResolveRequest request;
+      request.budget = 32;
+      request.deadline_ms = 50;  // cannot survive the 100 ms queue wait
+      doomed_result = controller.Resolve(request);
+    });
+    AwaitQueueDepth(controller, 1);
+    ResolveResult barely_result;
+    std::thread barely([&] {
+      ResolveRequest request;
+      request.budget = 32;
+      request.deadline_ms = 5000;  // survives it comfortably
+      barely_result = controller.Resolve(request);
+    });
+    AwaitQueueDepth(controller, 2);
+    clock.AdvanceMillis(100);
+    controller.SetDispatchPaused(false);
+    doomed.join();
+    barely.join();
 
-  EXPECT_EQ(doomed_result.outcome, ResolveOutcome::kEvicted);
-  EXPECT_TRUE(doomed_result.deadline_exceeded());
-  EXPECT_TRUE(doomed_result.comparisons.empty());
-  ASSERT_EQ(barely_result.outcome, ResolveOutcome::kServed);
-  EXPECT_EQ(barely_result.ticket, 0u)
-      << "the eviction must not have taken a ticket";
-  ExpectSameSequence(barely_result.comparisons, reference);
-  resolver->Drain();
+    EXPECT_EQ(doomed_result.outcome, ResolveOutcome::kEvicted);
+    EXPECT_TRUE(doomed_result.deadline_exceeded());
+    EXPECT_TRUE(doomed_result.comparisons.empty());
+    ASSERT_EQ(barely_result.outcome, ResolveOutcome::kServed);
+    EXPECT_EQ(barely_result.ticket, 0u)
+        << "the eviction must not have taken a ticket";
+    ExpectSameSequence(barely_result.comparisons, reference);
+    resolver->Drain();
+  }
 }
 
 // Drain() while the controller holds a full queue of parked requests:
@@ -684,26 +686,25 @@ class FaultInjectionTest : public ::testing::Test {
 
 TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
   const ProfileStore store = DirtyStore();
-  for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE("lookahead=" + std::to_string(lookahead));
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
     obs::FaultRegistry::Global().Reset();
 
-    // Shard 0's second refill throws; the other shards stay healthy.
+    // The second refill throws.
     obs::FaultPlan plan;
     plan.action = obs::FaultPlan::Action::kThrow;
     plan.message = "injected refill failure";
     plan.start_after = 1;
-    obs::FaultRegistry::Global().Arm("refill.shard0", plan);
+    obs::FaultRegistry::Global().Arm("refill", plan);
 
     ResolverOptions options;
-    options.num_shards = 4;
-    options.lookahead = lookahead;
+    options.num_threads = num_threads;
     std::unique_ptr<Resolver> resolver = MustCreate(store, options);
     ResolverSession session = resolver->OpenSession();
 
-    // The failure is contained: some requests may still serve from
-    // batches produced before the throw, then exactly one request
-    // reports the Internal status with shard and batch context.
+    // The failure is contained: requests serve the first refill batch,
+    // then exactly one request reports the Internal status with engine
+    // and batch context.
     ResolveResult failed;
     for (int k = 0; k < 64; ++k) {
       failed = session.Resolve({256, 0});
@@ -711,9 +712,8 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
     }
     ASSERT_FALSE(failed.status.ok()) << "fault never surfaced";
     EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
-    EXPECT_NE(failed.status.message().find("shard0"), std::string::npos)
-        << failed.status.ToString();
-    EXPECT_NE(failed.status.message().find("batch"), std::string::npos)
+    EXPECT_NE(failed.status.message().find("(engine, batch "),
+              std::string::npos)
         << failed.status.ToString();
     EXPECT_NE(failed.status.message().find("injected refill failure"),
               std::string::npos)
@@ -727,7 +727,7 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
     EXPECT_TRUE(after.comparisons.empty());
     EXPECT_FALSE(resolver->Next().has_value());
 
-    // A poisoned resolver still drains cleanly (producers join).
+    // A poisoned resolver still drains cleanly.
     resolver->Drain();
   }
 }
@@ -735,15 +735,14 @@ TEST_F(FaultInjectionTest, RefillThrowPoisonsTheEngineWithContext) {
 TEST_F(FaultInjectionTest, StalledRefillsPlusDeadlinesStillReassemble) {
   const ProfileStore store = DirtyStore();
   constexpr std::uint64_t kBudget = 400;
-  for (std::size_t lookahead : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE("lookahead=" + std::to_string(lookahead));
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
     obs::FaultRegistry::Global().Reset();
 
     ResolverOptions options;
     options.budget = kBudget;
-    options.lookahead = lookahead;
-    const std::vector<Comparison> reference =
-        Drain(MustCreate(store, options).get(), 1000000);
+    options.num_threads = num_threads;
+    const std::vector<Comparison> reference = SerialDrain(store, options);
     ASSERT_FALSE(reference.empty());
 
     // Every refill stalls well past the request deadline: requests keep
@@ -795,15 +794,12 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   obs::FaultPlan probe;
   probe.action = obs::FaultPlan::Action::kStall;
   probe.stall_ms = 0;
-  for (const char* site :
-       {"ring.acquire_slot", "refill.shard0", "merge.draw",
-        "session.admit"}) {
+  for (const char* site : {"refill", "session.admit"}) {
     obs::FaultRegistry::Global().Arm(site, probe);
   }
 
   ResolverOptions options;
-  options.num_shards = 2;
-  options.lookahead = 2;
+  options.num_threads = 4;
   options.budget = 600;
   std::unique_ptr<Resolver> resolver = MustCreate(store, options);
   ResolverSession session = resolver->OpenSession();
@@ -817,9 +813,7 @@ TEST_F(FaultInjectionTest, AllInstrumentedSeamsAreReachable) {
   resolver->Drain();
 
   obs::FaultRegistry& registry = obs::FaultRegistry::Global();
-  EXPECT_GT(registry.hits("ring.acquire_slot"), 0u);
-  EXPECT_GT(registry.hits("refill.shard0"), 0u);
-  EXPECT_GT(registry.hits("merge.draw"), 0u);
+  EXPECT_GT(registry.hits("refill"), 0u);
   EXPECT_GT(registry.hits("session.admit"), 0u);
 }
 

@@ -1,7 +1,7 @@
 // Telemetry must be a pure observer: attaching a TelemetryScope to a
 // resolver records metrics and spans but MUST NOT perturb the emitted
 // comparison stream — bit-identical with telemetry on or off at every
-// serving shape (plain/sharded, serial/pipelined emission). These tests
+// init thread count. These tests
 // pin that contract for both batch-refilling methods, plus the shape of
 // what gets recorded (per-phase InitStats, session histograms, spans).
 
@@ -45,8 +45,7 @@ void ExpectSameSequence(const std::vector<Comparison>& a,
 
 struct Shape {
   MethodId method;
-  std::size_t num_shards;
-  std::size_t lookahead;
+  std::size_t num_threads;
 };
 
 class TelemetryShapeTest : public ::testing::TestWithParam<Shape> {};
@@ -57,8 +56,7 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
   ASSERT_TRUE(dataset.ok());
 
   MethodConfig off;
-  off.num_shards = shape.num_shards;
-  off.lookahead = shape.lookahead;
+  off.num_threads = shape.num_threads;
   std::unique_ptr<Resolver> plain =
       MakeResolver(shape.method, dataset.value(), off);
   ASSERT_NE(plain, nullptr);
@@ -76,67 +74,59 @@ TEST_P(TelemetryShapeTest, StreamBitIdenticalWithTelemetryOnAndOff) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsByShape, TelemetryShapeTest,
-    ::testing::Values(Shape{MethodId::kPps, 1, 0}, Shape{MethodId::kPps, 1, 4},
-                      Shape{MethodId::kPps, 4, 0}, Shape{MethodId::kPps, 4, 4},
-                      Shape{MethodId::kPbs, 1, 0}, Shape{MethodId::kPbs, 1, 4},
-                      Shape{MethodId::kPbs, 4, 0},
-                      Shape{MethodId::kPbs, 4, 4}),
+    ::testing::Values(Shape{MethodId::kPps, 1}, Shape{MethodId::kPps, 4},
+                      Shape{MethodId::kPbs, 1}, Shape{MethodId::kPbs, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       std::string name(ToString(info.param.method));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_shards" + std::to_string(info.param.num_shards) +
-             "_lookahead" + std::to_string(info.param.lookahead);
+      return name + "_threads" + std::to_string(info.param.num_threads);
     });
 
-TEST(TelemetryInitStatsTest, PlainEnginePhasesSumBelowTotal) {
-  // The plain engine runs its phases sequentially, so the breakdown must
-  // be present (workflow steps + method_build), each non-negative, and
-  // init_seconds stays the authoritative total.
+TEST(TelemetryInitStatsTest, EnginePhasesSumBelowTotal) {
+  // The engine runs its phases sequentially, so the breakdown must list
+  // the workflow steps then method_build, in execution order, each
+  // non-negative, and init_seconds stays the authoritative total.
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
   MethodConfig config;
   std::unique_ptr<Resolver> resolver =
       MakeResolver(MethodId::kPps, dataset.value(), config);
   const InitStats& stats = resolver->init_stats();
-  ASSERT_FALSE(stats.phases.empty());
-  bool saw_token_blocking = false;
-  bool saw_method_build = false;
+  std::vector<std::string> names;
   double sum = 0.0;
   for (const InitPhase& phase : stats.phases) {
-    EXPECT_EQ(phase.shard, 0u) << phase.name;
     EXPECT_GE(phase.seconds, 0.0) << phase.name;
     sum += phase.seconds;
-    saw_token_blocking |= phase.name == "token_blocking";
-    saw_method_build |= phase.name == "method_build";
+    names.push_back(phase.name);
   }
-  EXPECT_TRUE(saw_token_blocking);
-  EXPECT_TRUE(saw_method_build);
+  EXPECT_EQ(names, (std::vector<std::string>{"token_blocking",
+                                             "block_purging",
+                                             "block_filtering",
+                                             "method_build"}));
   EXPECT_LE(sum, stats.init_seconds + 1e-6);
 }
 
-TEST(TelemetryInitStatsTest, ShardedEngineReportsPerShardPhases) {
+TEST(TelemetryInitStatsTest, PhasesAreTheSameAtOneAndFourThreads) {
+  // The thread count parallelizes the phases; it never adds, drops or
+  // reorders one.
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
-  MethodConfig config;
-  config.num_shards = 4;
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
-  const InitStats& stats = resolver->init_stats();
-  // One "partition" phase on shard 0, then every shard contributes its
-  // inner engine's phases (workflow + method_build).
-  ASSERT_FALSE(stats.phases.empty());
-  EXPECT_EQ(stats.phases.front().name, "partition");
-  std::vector<int> method_builds(config.num_shards, 0);
-  for (const InitPhase& phase : stats.phases) {
-    ASSERT_LT(phase.shard, config.num_shards);
-    EXPECT_GE(phase.seconds, 0.0);
-    if (phase.name == "method_build") ++method_builds[phase.shard];
-  }
-  for (std::size_t s = 0; s < config.num_shards; ++s) {
-    EXPECT_EQ(method_builds[s], 1) << "shard " << s;
-  }
+  const auto phase_names = [&](std::size_t num_threads) {
+    MethodConfig config;
+    config.num_threads = num_threads;
+    std::unique_ptr<Resolver> resolver =
+        MakeResolver(MethodId::kPbs, dataset.value(), config);
+    std::vector<std::string> names;
+    for (const InitPhase& phase : resolver->init_stats().phases) {
+      names.push_back(phase.name);
+    }
+    return names;
+  };
+  const std::vector<std::string> serial = phase_names(1);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(phase_names(4), serial);
 }
 
 #ifndef SPER_NO_TELEMETRY
@@ -179,38 +169,23 @@ TEST(TelemetrySessionTest, SessionHistogramsMatchRequestCount) {
   EXPECT_GE(registry.num_spans(), kRequests);
 }
 
-TEST(TelemetrySessionTest, PipelineAndMergeMetricsAppearWhenSharded) {
+TEST(TelemetrySessionTest, InitMetricsLiveAtTheScopeRoot) {
+  // At every thread count the engine records its init phases directly
+  // under the resolver's scope: one engine, no per-instance prefix.
   Result<DatasetBundle> dataset = GenerateDataset("restaurant");
   ASSERT_TRUE(dataset.ok());
-  obs::Registry registry;
-  MethodConfig config;
-  config.num_shards = 2;
-  config.lookahead = 4;
-  config.telemetry = obs::TelemetryScope(&registry);
-  std::unique_ptr<Resolver> resolver =
-      MakeResolver(MethodId::kPps, dataset.value(), config);
-  const std::vector<Comparison> drained = Drain(resolver.get(), 2000);
-  ASSERT_FALSE(drained.empty());
-
-  // Per-shard init gauges and pipeline counters exist under the shard
-  // prefix; the merge draw counters across shards account for every
-  // drained comparison.
-  std::uint64_t draws = 0;
-  for (std::size_t s = 0; s < config.num_shards; ++s) {
-    const std::string prefix = "shard" + std::to_string(s) + ".";
-    EXPECT_NE(registry.FindGauge(prefix + "phase.init_seconds"), nullptr);
-    const obs::Counter* batches =
-        registry.FindCounter(prefix + "pipeline.batches");
-    ASSERT_NE(batches, nullptr);
-    EXPECT_GT(batches->value(), 0u);
-    EXPECT_NE(registry.FindHistogram(prefix + "pipeline.ring_occupancy"),
-              nullptr);
-    const obs::Counter* shard_draws =
-        registry.FindCounter("merge.shard" + std::to_string(s) + ".draws");
-    ASSERT_NE(shard_draws, nullptr);
-    draws += shard_draws->value();
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    obs::Registry registry;
+    MethodConfig config;
+    config.num_threads = num_threads;
+    config.telemetry = obs::TelemetryScope(&registry);
+    std::unique_ptr<Resolver> resolver =
+        MakeResolver(MethodId::kPps, dataset.value(), config);
+    ASSERT_FALSE(Drain(resolver.get(), 2000).empty());
+    EXPECT_NE(registry.FindGauge("phase.init_seconds"), nullptr);
+    EXPECT_NE(registry.FindGauge("phase.method_build_seconds"), nullptr);
   }
-  EXPECT_EQ(draws, drained.size());
 }
 
 TEST(TelemetrySessionTest, SnapshotAndTraceExportWhileServing) {
@@ -220,7 +195,7 @@ TEST(TelemetrySessionTest, SnapshotAndTraceExportWhileServing) {
   ASSERT_TRUE(dataset.ok());
   obs::Registry registry;
   MethodConfig config;
-  config.lookahead = 2;
+  config.num_threads = 4;
   config.telemetry = obs::TelemetryScope(&registry);
   std::unique_ptr<Resolver> resolver =
       MakeResolver(MethodId::kPps, dataset.value(), config);

@@ -2,8 +2,7 @@
 """Repo-specific determinism lint for the sper codebase.
 
 The library's core contract is that emitted comparison streams are
-bit-identical at every thread count, shard count and lookahead setting
-(README "Determinism"). Most violations of that contract come from a
+bit-identical at every thread count (README "Determinism"). Most violations of that contract come from a
 handful of well-known C++ patterns, so this lint bans them outright in
 src/:
 
@@ -332,8 +331,8 @@ def check_banned_identifiers(path: str, text: str):
         for m in re.finditer(r"\b%s\b" % name, text):
             violations.append(Violation(
                 path, line_of(text, m.start()), "DET006",
-                f"'{name}' was removed (use ResolverOptions / EngineConfig "
-                "/ InitStats / MakeResolver)"))
+                f"'{name}' was removed (use ResolverOptions / InitStats "
+                "/ MakeResolver)"))
     return violations
 
 
